@@ -24,6 +24,7 @@ from ..core import kernel
 from ..core.decision import STRATEGIES_BY_CODE, Strategy, Tier
 from ..core.parameters import ModelParameters
 from ..errors import ValidationError
+from ..sweep.result import _run_heads
 from ..units import BITS_PER_BYTE
 
 __all__ = [
@@ -119,20 +120,35 @@ def crossover_from_sweep(
     return table.crossover(x, metric=metric, threshold=threshold, group_by=group_by)
 
 
-def _code_block_tally(
-    block: Dict[str, np.ndarray], column: str, n_codes: int
+def _block_codes(
+    block: Dict[str, np.ndarray], column: str, n_codes: int, kind: str = ""
 ) -> np.ndarray:
-    """Per-code counts of one integer-coded column block (module-level
-    so it pickles onto worker processes)."""
+    """One integer-coded column block, checked to lie in ``[0, n_codes)``."""
     codes = np.asarray(block[column])
     if codes.dtype.kind not in "iu":
         codes = codes.astype(np.int64)
     if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
         raise ValidationError(
-            f"column {column!r} must hold codes in [0, {n_codes}), got "
+            f"column {column!r} must hold {kind}codes in [0, {n_codes}), got "
             f"range [{int(codes.min())}, {int(codes.max())}]"
         )
-    return np.bincount(codes, minlength=n_codes)
+    return codes
+
+
+def _code_block_tally(
+    block: Dict[str, np.ndarray], column: str, n_codes: int
+) -> np.ndarray:
+    """Per-code counts of one integer-coded column block (module-level
+    so it pickles onto worker processes)."""
+    return np.bincount(_block_codes(block, column, n_codes), minlength=n_codes)
+
+
+def _tally_from_sweep(table, column: str, n_codes: int, workers: int) -> np.ndarray:
+    """Per-code counts of one integer-coded column over a sweep table."""
+    from ._tables import map_table_blocks
+
+    tally = partial(_code_block_tally, column=column, n_codes=n_codes)
+    return np.sum(map_table_blocks(table, (column,), tally, workers=workers), axis=0)
 
 
 def decision_tally_from_sweep(
@@ -148,15 +164,7 @@ def decision_tally_from_sweep(
     (associative) per-block counts, so a million-point decision surface
     reduces to three numbers in O(shard) memory.
     """
-    from ._tables import map_table_blocks
-
-    parts = map_table_blocks(
-        table,
-        (column,),
-        partial(_code_block_tally, column=column, n_codes=len(STRATEGIES_BY_CODE)),
-        workers=workers,
-    )
-    total = np.sum(parts, axis=0)
+    total = _tally_from_sweep(table, column, len(STRATEGIES_BY_CODE), workers)
     return {
         strategy: int(total[code])
         for code, strategy in enumerate(STRATEGIES_BY_CODE)
@@ -173,15 +181,7 @@ def tier_tally_from_sweep(
     missing even Tier 3.  Scanning behaviour and ``workers`` semantics
     match :func:`decision_tally_from_sweep`.
     """
-    from ._tables import map_table_blocks
-
-    parts = map_table_blocks(
-        table,
-        (column,),
-        partial(_code_block_tally, column=column, n_codes=len(Tier) + 1),
-        workers=workers,
-    )
-    total = np.sum(parts, axis=0)
+    total = _tally_from_sweep(table, column, len(Tier) + 1, workers)
     out: Dict[Optional[Tier], int] = {
         tier: int(total[tier.value]) for tier in Tier
     }
@@ -200,11 +200,7 @@ class DecisionMap:
     #: integer grid, shape (len(y), len(x)): 0 local, 1 streaming, 2 file
     winners: np.ndarray
 
-    STRATEGIES: Tuple[Strategy, ...] = (
-        Strategy.LOCAL,
-        Strategy.REMOTE_STREAMING,
-        Strategy.REMOTE_FILE,
-    )
+    STRATEGIES: Tuple[Strategy, ...] = STRATEGIES_BY_CODE
 
     def winner_at(self, ix: int, iy: int) -> Strategy:
         """Strategy winning at grid cell (ix, iy)."""
@@ -226,6 +222,23 @@ class DecisionMap:
         return float(self.x_values[changes[0]])
 
 
+def _axis_cells(axis: np.ndarray, coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions of a block of coordinates in ``axis`` (distinct values,
+    first-appearance order), found with ``np.searchsorted`` over the
+    sorted axis — once per run of a repeated value — plus a mask of the
+    coordinates that are exactly on the axis."""
+    perm = np.argsort(axis, kind="stable")
+    ordered = axis[perm]
+    heads = _run_heads(coords)
+    keys = coords if heads is None else coords[heads]
+    pos = np.minimum(np.searchsorted(ordered, keys), len(ordered) - 1)
+    index, exact = perm[pos], ordered[pos] == keys
+    if heads is None:
+        return index, exact
+    lengths = np.diff(heads, append=len(coords))
+    return np.repeat(index, lengths), np.repeat(exact, lengths)
+
+
 def decision_surface_from_sweep(
     table, x: str, y: str, column: str = "decision"
 ) -> DecisionMap:
@@ -237,64 +250,69 @@ def decision_surface_from_sweep(
     :class:`~repro.sweep.ShardedSweepResult`, or a shard-directory
     path).  The rows must form a *complete* grid over the distinct
     ``x`` × ``y`` values — every cell exactly once, which holds for any
-    ``SweepSpec.grid`` sweep of exactly those two axes.  Sharded input
-    is scanned block-by-block loading only the three needed columns;
-    peak memory is O(grid cells), never O(table width).
+    ``SweepSpec.grid`` sweep of exactly those two axes.
+
+    Each block is reduced with segment operations, no per-point Python:
+    coordinates map to cells with ``np.searchsorted`` over each axis's
+    sorted distinct values (permuted back to first-appearance order,
+    and looked up once per run of a repeated value), a coordinate that
+    is not exactly on an axis fills no cell, and ``np.bincount`` over
+    the flat cell index keeps the exactly-once accounting.  Sharded
+    input is scanned block-by-block loading only the three needed
+    columns; peak memory is O(grid cells), never O(table width).
     """
     from ._tables import load_sweep_table
 
     if x == y:
         raise ValidationError("decision map axes x and y must differ")
     table = load_sweep_table(table)
-    x_vals = table.unique(x)
-    y_vals = table.unique(y)
+    x_vals, y_vals = np.asarray(table.unique(x)), np.asarray(table.unique(y))
     nx, ny = len(x_vals), len(y_vals)
-    n_rows = table.n_rows
-    if n_rows != nx * ny:
+    if table.n_rows != nx * ny:
         raise ValidationError(
             f"decision map needs a full {x} x {y} grid: the table has "
-            f"{n_rows} rows but {nx} x {ny} = {nx * ny} distinct cells; "
+            f"{table.n_rows} rows but {nx} x {ny} = {nx * ny} distinct cells; "
             "sweep exactly these two axes as a cartesian grid (e.g. two "
             "--axis flags, no zipped block over them)"
         )
-    xi = {v: i for i, v in enumerate(x_vals)}
-    yi = {v: i for i, v in enumerate(y_vals)}
-    winners = np.zeros((ny, nx), dtype=np.int64)
-    counts = np.zeros((ny, nx), dtype=np.int64)
+    # Scan into int8 (codes < 3); the int64 result reuses counts' memory.
+    winners = np.zeros(ny * nx, dtype=np.int8)
+    counts = np.zeros(ny * nx, dtype=np.int64)
     if hasattr(table, "iter_blocks"):
         blocks = table.iter_blocks(columns=(x, y, column))
     else:
-        blocks = iter(
-            [{name: table.column(name) for name in (x, y, column)}]
-        )
-    n_codes = len(STRATEGIES_BY_CODE)
+        blocks = [{name: table.column(name) for name in (x, y, column)}]
+    x_major = None
     for block in blocks:
-        codes = np.asarray(block[column])
-        if codes.dtype.kind not in "iu":
-            codes = codes.astype(np.int64)
-        if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
-            raise ValidationError(
-                f"column {column!r} must hold decision codes in "
-                f"[0, {n_codes}), got range "
-                f"[{int(codes.min())}, {int(codes.max())}]"
-            )
-        bx, by = block[x], block[y]
-        ix = np.fromiter((xi[v] for v in bx), dtype=np.int64, count=len(bx))
-        iy = np.fromiter((yi[v] for v in by), dtype=np.int64, count=len(by))
-        winners[iy, ix] = codes
-        np.add.at(counts, (iy, ix), 1)
+        codes = _block_codes(block, column, len(STRATEGIES_BY_CODE), "decision ")
+        if not codes.size:
+            continue
+        ix, x_hit = _axis_cells(x_vals, np.asarray(block[x]))
+        iy, y_hit = _axis_cells(y_vals, np.asarray(block[y]))
+        if x_major is None:  # lay the grid out the way the rows run
+            x_major = np.ptp(ix * ny + iy) < np.ptp(iy * nx + ix)
+        cells = ix * ny + iy if x_major else iy * nx + ix
+        hit = x_hit & y_hit
+        if not hit.all():  # an off-axis value fills no cell: caught below
+            cells, codes = cells[hit], codes[hit]
+        winners[cells] = codes
+        if cells.size:
+            lo = int(cells.min())
+            counts[lo : int(cells.max()) + 1] += np.bincount(cells - lo)
     if np.any(counts != 1):
         raise ValidationError(
             f"decision map needs each ({x}, {y}) cell exactly once; "
             f"{int(np.count_nonzero(counts != 1))} cells are duplicated "
             "or missing — is a third axis swept alongside these two?"
         )
+    del counts
+    winners = winners.reshape(nx, ny).T if x_major else winners.reshape(ny, nx)
     return DecisionMap(
         x_name=x,
         y_name=y,
-        x_values=np.asarray(x_vals),
-        y_values=np.asarray(y_vals),
-        winners=winners,
+        x_values=x_vals,
+        y_values=y_vals,
+        winners=winners.astype(np.int64, order="C"),
     )
 
 

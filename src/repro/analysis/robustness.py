@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ValidationError
-from ..sweep.shards import _factorize
+from ..sweep.result import _factorize
 
 __all__ = ["FAULT_AXES", "strategy_robustness_from_sweep"]
 

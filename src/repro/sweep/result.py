@@ -32,6 +32,94 @@ def _as_column(values: Any) -> np.ndarray:
     return out
 
 
+def _factorize(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Integer codes for one group column (np.unique for sortable
+    dtypes, dict fallback for arbitrary objects)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "O":
+        try:
+            arr = arr.astype("U")
+        except (TypeError, ValueError):
+            mapping: Dict[Any, int] = {}
+            codes = np.empty(len(values), dtype=np.int64)
+            for i, v in enumerate(values):
+                codes[i] = mapping.setdefault(v, len(mapping))
+            return codes, len(mapping)
+    uniq, inverse = np.unique(arr, return_inverse=True)
+    return inverse.astype(np.int64), len(uniq)
+
+
+def _run_heads(values: np.ndarray) -> Optional[np.ndarray]:
+    """Start index of each run of repeated values in a numeric block
+    (the outer axes of a grid repeat in long runs), or ``None`` when
+    runs average under two rows and compressing them would not pay."""
+    if values.dtype.kind not in "biuf" or len(values) < 2:
+        return None
+    change = values[1:] != values[:-1]
+    if 2 * np.count_nonzero(change) < len(values):
+        return np.flatnonzero(np.concatenate(([True], change)))
+    return None
+
+
+def _group_order(
+    cols: Sequence[np.ndarray], n: int, x: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A stable row order that makes each group (equal values across
+    ``cols``) one contiguous segment, plus each segment's start.
+
+    Inside a segment rows keep their table order, or are sorted by
+    ``x`` when given (ties keep table order, like ``sorted``).  A single
+    numeric group column is its own sort key; otherwise the columns are
+    factorized and combined into one integer code per row.
+    """
+    if len(cols) == 1 and cols[0].dtype.kind in "biuf":
+        key = cols[0]
+    else:
+        key = np.zeros(n, dtype=np.int64)
+        for col in cols:
+            codes, size = _factorize(col)
+            key = key * size + codes
+    order = np.argsort(key, kind="stable") if x is None else np.lexsort((x, key))
+    k = key[order]
+    starts = np.flatnonzero(np.concatenate(([n > 0], k[1:] != k[:-1])))
+    return order, starts
+
+
+def _first_crossings(
+    xs: np.ndarray,
+    ms: np.ndarray,
+    starts: np.ndarray,
+    threshold: float,
+    carry: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per group segment of ``xs``/``ms`` (segments start at ``starts``,
+    each ascending in x): does ``ms`` reach ``threshold``, and at which
+    linearly interpolated x does it first?
+
+    ``carry`` is ``(has_prev, prev_x, prev_m)`` per segment: the last
+    row of the group seen before these rows (a shard boundary), which
+    brackets a crossing at the segment's first row.  A group whose very
+    first row is already above ``threshold`` reports that row's x.
+    Returns ``(found, crossing)``; ``crossing`` is meaningless where
+    ``found`` is false.
+    """
+    n = len(xs)
+    hits = np.where(ms >= threshold, np.arange(n), n)
+    first = np.minimum.reduceat(hits, starts)
+    found = first < np.append(starts[1:], n)
+    j = np.minimum(first, n - 1)
+    at_start = first == starts
+    has_prev, prev_x, prev_m = carry or (np.zeros(len(starts), dtype=bool), 0.0, 0.0)
+    x0 = np.where(at_start, prev_x, xs[j - 1])
+    m0 = np.where(at_start, prev_m, ms[j - 1])
+    x1, m1 = xs[j], ms[j]
+    edge = at_start & ~has_prev
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        frac = np.where(m1 == m0, 0.0, (threshold - m0) / (m1 - m0))
+        crossing = np.where(edge, x1, x0 + frac * (x1 - x0))
+    return found, crossing
+
+
 class SweepResult:
     """Column table of sweep output.
 
@@ -163,33 +251,14 @@ class SweepResult:
         """
         x_col = np.asarray(self.column(x), dtype=float)
         m_col = np.asarray(self.column(metric), dtype=float)
-        for g in group_by:
-            self.column(g)  # validate names early
-
-        groups: Dict[Tuple[Any, ...], List[int]] = {}
-        for i in range(self.n_rows):
-            key = tuple(self.column(g)[i] for g in group_by)
-            groups.setdefault(key, []).append(i)
-
+        cols = [self.column(g) for g in group_by]
+        order, starts = _group_order(cols, self.n_rows, x=x_col)
+        found, where = _first_crossings(x_col[order], m_col[order], starts, threshold)
+        firsts = np.minimum.reduceat(order, starts)  # first row per group
         out: List[Dict[str, Any]] = []
-        for key, idx in groups.items():
-            order = sorted(idx, key=lambda i: x_col[i])
-            xs = x_col[order]
-            ms = m_col[order]
-            crossing: Optional[float] = None
-            above = ms >= threshold
-            if above[0]:
-                crossing = float(xs[0])
-            else:
-                flips = np.nonzero(above)[0]
-                if flips.size:
-                    j = int(flips[0])
-                    x0, x1 = xs[j - 1], xs[j]
-                    m0, m1 = ms[j - 1], ms[j]
-                    frac = 0.0 if m1 == m0 else (threshold - m0) / (m1 - m0)
-                    crossing = float(x0 + frac * (x1 - x0))
-            entry = dict(zip(group_by, key))
-            entry[x] = crossing
+        for seg in np.argsort(firsts).tolist():
+            entry = {g: col[firsts[seg]] for g, col in zip(group_by, cols)}
+            entry[x] = float(where[seg]) if found[seg] else None
             out.append(entry)
         return out
 

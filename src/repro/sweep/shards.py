@@ -66,7 +66,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import ValidationError
-from .result import SweepResult
+from .result import SweepResult, _first_crossings, _group_order, _run_heads
 
 __all__ = [
     "MANIFEST_NAME",
@@ -161,22 +161,25 @@ def _stored_member_offsets(
     return offsets
 
 
+def _npy_header(fh: Any) -> Tuple[Tuple[int, ...], bool, np.dtype]:
+    """``(shape, fortran_order, dtype)`` of the ``.npy`` header at
+    ``fh``'s position, leaving ``fh`` at the first data byte."""
+    version = np.lib.format.read_magic(fh)
+    if version == (1, 0):
+        return np.lib.format.read_array_header_1_0(fh)
+    if version == (2, 0):
+        return np.lib.format.read_array_header_2_0(fh)
+    raise ValueError(f"unsupported .npy format version {version}")
+
+
 def _mmap_npy_member(
     mm: np.memmap, start: int, size: int
 ) -> np.ndarray:
     """One ``.npy`` member of a memory-mapped uncompressed ``.npz`` as a
     zero-copy (read-only) array view over the mapping."""
     header = io.BytesIO(bytes(mm[start : start + min(size, 4096)]))
-    version = np.lib.format.read_magic(header)
-    if version == (1, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(header)
-    elif version == (2, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_2_0(header)
-    else:  # pragma: no cover - savez only emits 1.0/2.0 headers
-        raise ValueError(f"unsupported .npy format version {version}")
-    count = 1
-    for dim in shape:
-        count *= int(dim)
+    shape, fortran, dtype = _npy_header(header)
+    count = int(np.prod(shape))
     arr = np.frombuffer(mm, dtype=dtype, count=count, offset=start + header.tell())
     return arr.reshape(shape, order="F" if fortran else "C")
 
@@ -978,8 +981,7 @@ class ShardedSweepResult:
         Python-level work is O(distinct values), not O(rows))."""
         seen: Dict[Any, None] = {}
         for block in self.iter_blocks(columns=(name,)):
-            for v in _block_unique(block[name]):
-                seen.setdefault(v, None)
+            seen.update(dict.fromkeys(_block_unique(block[name], seen)))
         return list(seen)
 
     def to_result(self) -> SweepResult:
@@ -1008,141 +1010,89 @@ class ShardedSweepResult:
         """Streaming counterpart of :meth:`SweepResult.crossover`.
 
         Shards are scanned block-by-block holding only the ``x``,
-        ``metric`` and ``group_by`` columns of one shard at a time; per
-        group the running bracket around ``threshold`` is advanced and
-        the first crossing linearly interpolated, exactly reproducing
-        the in-memory answer.  Requires each group's rows to arrive
-        sorted by ``x`` (true for every sweep executed in enumeration
-        order over ascending axes); when a group turns out unsorted the
-        scan transparently falls back to loading just the needed columns
-        and sorting — still never the whole table.
+        ``metric`` and ``group_by`` columns of one shard at a time.  Each
+        shard is reduced with segment operations: one stable sort groups
+        its rows (table order kept inside a group), one mask checks that
+        every group ascends in ``x``, and a ``minimum.reduceat`` over the
+        group segments finds each group's first row at or above
+        ``threshold``, interpolated with the same float64 arithmetic as
+        the in-memory locator.  One boundary row per group (its last x
+        and metric) carries into the next shard, so crossings that
+        straddle a shard boundary are exact.  Only the distinct groups
+        surface as Python objects.
+
+        Requires each group's rows to arrive sorted by ``x`` (true for
+        every sweep executed in enumeration order over ascending axes);
+        when a group turns out unsorted the scan transparently falls
+        back to loading just the needed columns and sorting — still
+        never the whole table.
         """
-        needed = (x, metric, *group_by)
-        # state per group: [crossing, prev_x, prev_m, has_prev]
-        states: Dict[Tuple[Any, ...], List[Any]] = {}
-        for block in self.iter_blocks(columns=needed):
-            xs = np.asarray(block[x], dtype=float)
-            ms = np.asarray(block[metric], dtype=float)
-            if group_by:
-                segments = _group_segments(block, group_by)
-            else:
-                segments = [((), np.arange(len(xs)))]
-            for key, idx in segments:
-                st = states.setdefault(key, [None, None, None, False])
-                seg_x = xs[idx]
-                seg_m = ms[idx]
-                # The streaming scan is only exact while each group's
-                # rows keep arriving in ascending x — checked for every
-                # segment, even after a crossing is located, because an
-                # out-of-order row anywhere invalidates "first crossing
-                # in sorted order".
-                prev_ok = (not st[3]) or seg_x[0] >= st[1]
-                if not (prev_ok and np.all(np.diff(seg_x) >= 0)):
-                    return self._crossover_sorted(x, metric, threshold, group_by)
-                if st[0] is not None:
-                    st[1] = seg_x[-1]
-                    continue  # crossing located; keep tracking order only
-                above = seg_m >= threshold
-                if not st[3] and above[0]:
-                    st[0] = float(seg_x[0])
-                    st[1] = seg_x[-1]
-                    st[3] = True
-                    continue
-                last_x = seg_x[-1]
-                last_m = seg_m[-1]
-                if st[3]:
-                    seg_x = np.concatenate(([st[1]], seg_x))
-                    seg_m = np.concatenate(([st[2]], seg_m))
-                    above = seg_m >= threshold
-                flips = np.nonzero(above)[0]
-                if flips.size:
-                    j = int(flips[0])
-                    x0, x1 = seg_x[j - 1], seg_x[j]
-                    m0, m1 = seg_m[j - 1], seg_m[j]
-                    frac = 0.0 if m1 == m0 else (threshold - m0) / (m1 - m0)
-                    st[0] = float(x0 + frac * (x1 - x0))
-                st[1] = last_x
-                st[2] = last_m
-                st[3] = True
-        out: List[Dict[str, Any]] = []
-        for key, st in states.items():
-            entry = dict(zip(group_by, key))
-            entry[x] = st[0]
-            out.append(entry)
-        return out
-
-    def _crossover_sorted(
-        self, x: str, metric: str, threshold: float, group_by: Sequence[str]
-    ) -> List[Dict[str, Any]]:
-        """Fallback for unsorted groups: load only the needed columns and
-        delegate to the in-memory locator (which sorts)."""
-        needed = dict.fromkeys((x, metric, *group_by))
-        small = SweepResult(
-            {name: self.column(name) for name in needed},
-            axis_names=tuple(n for n in needed if n in self.axis_names),
-        )
-        return small.crossover(x, metric=metric, threshold=threshold, group_by=group_by)
+        index: Dict[Tuple[Any, ...], int] = {}  # group values -> id, in order
+        # Per group id: crossing found / crossing x / last row seen.
+        done, has_prev = np.zeros((2, 0), dtype=bool)
+        cross, prev_x, prev_m = np.zeros((3, 0))
+        for block in self.iter_blocks(columns=(x, metric, *group_by)):
+            cols = [np.asarray(block[g]) for g in group_by]
+            order, starts = _group_order(cols, len(block[x]))
+            if not starts.size:
+                continue
+            xs = np.asarray(block[x], dtype=float)[order]
+            ms = np.asarray(block[metric], dtype=float)[order]
+            appear = np.argsort(order[starts])
+            firsts = order[starts[appear]]
+            keys = list(zip(*(c[firsts] for c in cols))) if cols else [()]
+            ids = list(map(index.get, keys))
+            if None in ids:  # groups first seen in this shard
+                ids = [index.setdefault(key, len(index)) for key in keys]
+                done, has_prev, cross, prev_x, prev_m = (
+                    np.append(a, np.zeros(len(index) - len(a), a.dtype))
+                    for a in (done, has_prev, cross, prev_x, prev_m)
+                )
+            gid = np.empty(len(starts), dtype=np.intp)
+            gid[appear] = ids
+            # Exact only while every group's rows arrive in ascending x
+            # (checked even after a crossing: order is the premise).
+            steps = np.diff(xs) >= 0
+            steps[starts[1:] - 1] = True  # a new group may start lower
+            seg_has = has_prev[gid]
+            in_order = steps.all() and np.all(~seg_has | (xs[starts] >= prev_x[gid]))
+            if not in_order:  # load just the needed columns and sort
+                needed = dict.fromkeys((x, metric, *group_by))
+                small = SweepResult({name: self.column(name) for name in needed})
+                return small.crossover(x, metric, threshold, group_by)
+            found, where = _first_crossings(
+                xs, ms, starts, threshold, (seg_has, prev_x[gid], prev_m[gid])
+            )
+            new = found & ~done[gid]
+            cross[gid[new]] = where[new]
+            done[gid[new]] = True
+            ends = np.append(starts[1:], len(xs)) - 1
+            prev_x[gid] = xs[ends]
+            prev_m[gid] = ms[ends]
+            has_prev[gid] = True
+        return [
+            {**dict(zip(group_by, key)), x: where_g if found_g else None}
+            for key, found_g, where_g in zip(index, done.tolist(), cross.tolist())
+        ]
 
 
-def _block_unique(values: np.ndarray) -> List[Any]:
+def _block_unique(values: np.ndarray, seen: Any = ()) -> List[Any]:
     """Distinct values of one column block in first-appearance order,
-    vectorized where the dtype allows (object columns of mixed,
-    non-comparable types fall back to a dict pass)."""
+    from one stable sort (see :func:`_group_order`; object columns of
+    mixed, non-comparable types fall back to a dict pass).  Runs of a
+    repeated value are collapsed first, and a numeric block whose
+    values are all in ``seen`` returns ``[]`` after one value sort."""
     arr = np.asarray(values)
-    if arr.dtype.kind == "O":
-        try:
-            sortable = arr.astype("U")
-        except (TypeError, ValueError):
-            seen: Dict[Any, None] = {}
-            for v in values:
-                seen.setdefault(v, None)
-            return list(seen)
-    else:
-        sortable = arr
-    _, first = np.unique(sortable, return_index=True)
-    return list(arr[np.sort(first)])
-
-
-def _factorize(values: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Integer codes for one group column (np.unique for sortable
-    dtypes, dict fallback for arbitrary objects)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind == "O":
-        try:
-            arr = arr.astype("U")
-        except (TypeError, ValueError):
-            mapping: Dict[Any, int] = {}
-            codes = np.empty(len(values), dtype=np.int64)
-            for i, v in enumerate(values):
-                codes[i] = mapping.setdefault(v, len(mapping))
-            return codes, len(mapping)
-    uniq, inverse = np.unique(arr, return_inverse=True)
-    return inverse.astype(np.int64), len(uniq)
-
-
-def _group_segments(
-    block: Dict[str, np.ndarray], group_by: Sequence[str]
-) -> List[Tuple[Tuple[Any, ...], np.ndarray]]:
-    """Split one block's row indices by group key, preserving row order
-    inside each group and first-appearance order across groups.
-
-    Group keys are factorized per column and combined into one integer
-    code per row, so the per-row work stays in numpy; only the distinct
-    groups surface as Python objects.
-    """
-    cols = [block[g] for g in group_by]
-    combined, _ = _factorize(cols[0])
-    for col in cols[1:]:
-        codes, size = _factorize(col)
-        combined = combined * size + codes
-    order = np.argsort(combined, kind="stable")
-    sorted_codes = combined[order]
-    bounds = np.nonzero(np.diff(sorted_codes))[0] + 1
-    segments = np.split(order, bounds)
-    segments.sort(key=lambda idx: int(idx[0]))  # first-appearance order
-    return [
-        (tuple(col[idx[0]] for col in cols), idx) for idx in segments
-    ]
+    if arr.dtype.kind in "biuf":
+        heads = _run_heads(arr)
+        arr = arr if heads is None else arr[heads]
+        if seen:  # sorted by hand: plain np.unique would import numpy.ma
+            ordered = np.sort(arr)
+            distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+            if all(map(seen.__contains__, distinct.tolist())):
+                return []
+    order, starts = _group_order([arr], len(arr))
+    return list(arr[np.sort(order[starts])])
 
 
 def open_shards(

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import json
 import pathlib
+import zipfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -33,8 +34,10 @@ from .shards import (
     JOURNAL_NAME,
     MANIFEST_NAME,
     _SUPPORTED_MANIFEST_VERSIONS,
+    _npy_header,
     _parse_journal_lines,
     _sha256_file,
+    _stored_member_offsets,
 )
 
 __all__ = ["Finding", "VerifyReport", "verify_shards"]
@@ -98,10 +101,43 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _shard_row_count(path: pathlib.Path, column: str) -> int:
-    """Actual row count of one shard file, read from one column."""
-    with np.load(path, allow_pickle=False) as npz:
-        return int(len(npz[column]))
+def _row_counts(
+    path: pathlib.Path, columns: List[str]
+) -> Iterator[Tuple[str, int]]:
+    """``(column, rows)`` for each column of one shard file.
+
+    Uncompressed shards are answered from each member's ``.npy`` header
+    (zip local headers parsed once, nothing inflated or CRC-scanned),
+    and each member's declared data must lie within both its zip entry
+    and the file — so a truncated member is caught even without the
+    sha256 check.  Compressed shards, and shards whose zip headers do
+    not parse, are read with ``np.load`` one column at a time.
+    """
+    try:
+        offsets = _stored_member_offsets(path)
+    except (zipfile.BadZipFile, OSError, EOFError):
+        offsets = None  # np.load below reports what is wrong
+    if offsets is None:
+        with np.load(path, allow_pickle=False) as npz:
+            for column in columns:
+                yield column, int(len(npz[column]))
+        return
+    file_size = path.stat().st_size
+    with open(path, "rb") as fh:
+        for column in columns:
+            start, size = offsets[column + ".npy"]
+            fh.seek(start)
+            shape, _, dtype = _npy_header(fh)
+            if dtype.hasobject:
+                raise ValueError(f"member {column}.npy holds pickled objects")
+            extent = fh.tell() - start + int(np.prod(shape)) * dtype.itemsize
+            stored = min(size, file_size - start)
+            if extent > stored:
+                raise ValueError(
+                    f"member {column}.npy declares {extent} bytes but only "
+                    f"{stored} are stored"
+                )
+            yield column, int(shape[0])
 
 
 def verify_shards(
@@ -208,8 +244,7 @@ def verify_shards(
                 continue  # the bytes are wrong; row counts add nothing
         if check_rows and columns:
             try:
-                for column in columns:
-                    actual = _shard_row_count(path, column)
+                for column, actual in _row_counts(path, columns):
                     if actual != n_rows:
                         report.add(
                             fname,

@@ -4,6 +4,7 @@ finding, clean directories audit OK, and exit codes follow severity."""
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.core.parameters import aps_to_alcf_defaults
 from repro.sweep import (
     Axis,
     ShardWriter,
+    SweepResult,
     SweepSpec,
     run_model_sweep,
     verify_shards,
@@ -98,6 +100,47 @@ class TestCorruption:
         assert not report.ok
         assert any(
             f.file == "shard-00001.npz" and "unreadable" in f.problem
+            for f in report.errors
+        )
+
+    def test_member_extent_past_eof_without_hashes(self, tmp_path):
+        # A zip that still parses, but whose last member stores only
+        # part of the data its .npy header declares: the declared extent
+        # runs past the end of the file.
+        table = SweepResult(
+            {"x": np.arange(4096.0), "speedup": np.linspace(0.0, 2.0, 4096)},
+            axis_names=("x",),
+        )
+        table.to_shards(tmp_path, shard_size=4096)
+        shard = tmp_path / "shard-00000.npz"
+        with zipfile.ZipFile(shard) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        last = list(members)[-1]
+        members[last] = members[last][:200]
+        with zipfile.ZipFile(shard, "w", zipfile.ZIP_STORED) as zf:
+            for name, data in members.items():
+                zf.writestr(name, data)
+        report = verify_shards(tmp_path, check_hashes=False)
+        assert not report.ok
+        assert any(
+            f.file == "shard-00000.npz" and "declares" in f.problem
+            for f in report.errors
+        )
+
+    def test_compressed_store_rows_checked(self, tmp_path):
+        spec = SweepSpec.grid(Axis.geomspace("bandwidth_gbps", 1.0, 100.0, 40))
+        run_model_sweep(
+            spec, base=BASE, out=str(tmp_path), block_size=16, compress=True
+        )
+        assert verify_shards(tmp_path, check_hashes=False).ok
+        manifest = _manifest(tmp_path)
+        manifest["shards"][0]["n_rows"] += 1
+        manifest["n_rows"] += 1
+        _write_manifest(tmp_path, manifest)
+        (tmp_path / JOURNAL_NAME).unlink()
+        report = verify_shards(tmp_path, check_hashes=False)
+        assert any(
+            f.file == "shard-00000.npz" and "holds 16 rows" in f.problem
             for f in report.errors
         )
 

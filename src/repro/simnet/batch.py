@@ -2,15 +2,20 @@
 
 :class:`BatchFluidSimulator` advances *many independent experiments*
 (each a :class:`~repro.simnet.tcp.FluidTcpSimulator`-style run with its
-own bottleneck link, config and seed) through **one vectorized state
-update** per time step.  The flow-state arrays of all experiments are
-stacked into single contiguous arrays with per-experiment segments —
-block-diagonal sharing: flows contend only with flows of their own
-experiment — so the per-flow work (demand, rates, window growth,
-completions) is one numpy pass over the whole batch instead of one
-small-array pass per experiment.  For the Table-2 congestion grid the
-experiments overlap almost completely in simulated time, so the batch
-replaces ~130k small sequential steps with ~3.5k wide ones.
+own route, config and seed) through **one vectorized state update** per
+time step.  The flow-state arrays of all experiments are stacked into
+single contiguous arrays with per-experiment segments — block-diagonal
+sharing: flows contend only with flows of their own experiment — so
+the per-flow work (demand, rates, window growth, completions) is one
+numpy pass over the whole batch instead of one small-array pass per
+experiment.  For the Table-2 congestion grid the experiments overlap
+almost completely in simulated time, so the batch replaces ~130k small
+sequential steps with ~3.5k wide ones.
+
+Every experiment is a route: an ordered tuple of links with one fault
+schedule per link.  A single-link experiment (``link=`` + ``faults=``)
+is a one-hop route and runs through the same update loop as a
+multi-hop one; there is exactly one batched loop.
 
 Two further mechanisms make measurement cheap:
 
@@ -23,16 +28,21 @@ Two further mechanisms make measurement cheap:
   :class:`~repro.simnet.records.SimulationResult` is assembled directly
   from its segment of the state arrays, with no per-flow objects.
 
-**Bit-identity.**  Results are bit-for-bit identical to running each
-experiment alone on :class:`~repro.simnet.tcp.FluidTcpSimulator` with
-the same seed: every arithmetic statement of the sequential step is
-mirrored with the same operations in the same order (per-experiment
+**Bit-identity.**  A one-hop experiment's result is bit-for-bit
+identical to running it alone on
+:meth:`FluidTcpSimulator.run <repro.simnet.tcp.FluidTcpSimulator.run>`,
+the scalar single-link loop that stays as the independent reference:
+every arithmetic statement of the sequential step is mirrored with the
+same operations in the same order, and each per-link cascade reduces to
+that step's single-bottleneck arithmetic for one link (per-experiment
 reductions use ``.sum()`` on contiguous segment views, matching the
 sequential pairwise summation; per-experiment scalar state stays in
 Python floats; each experiment draws from its own
 ``numpy.random.Generator`` exactly when its own overflow events fire).
-The equivalence suite (``tests/test_simnet_batch.py``) pins this
-property across batch compositions, seeds and batch sizes.
+A multi-hop sequential run delegates to a one-experiment batch.  The
+equivalence suites (``tests/test_simnet_batch.py``,
+``tests/test_simnet_multilink.py``) pin these properties across batch
+compositions, seeds and batch sizes.
 """
 
 from __future__ import annotations
@@ -50,8 +60,7 @@ from .faults import (
     FaultEvent,
     FaultSchedule,
     capacity_factor,
-    coerce_faults,
-    coerce_link_faults,
+    resolve_route,
     schedule_is_noop,
 )
 from .link import Link
@@ -66,19 +75,17 @@ __all__ = ["BatchFluidSimulator"]
 class _Experiment:
     """Registration state of one experiment in the batch.
 
-    ``link`` is the (bottleneck) link single-link experiments run on and
-    every experiment reports against.  A routed multi-hop experiment
-    additionally carries ``links`` — the ordered route — and one fault
-    schedule per link in ``link_faults``; single-link experiments leave
-    ``links`` empty and use the per-experiment ``faults`` schedule.
+    ``links`` is the ordered route (one link for a single-link
+    experiment) and ``link_faults`` holds one fault schedule per link;
+    ``link`` is the route's bottleneck, which the experiment reports
+    against.
     """
 
     link: Link
+    links: Tuple[Link, ...]
+    link_faults: Tuple[FaultSchedule, ...]
     config: TcpConfig
     rng: np.random.Generator
-    faults: FaultSchedule = ()
-    links: Tuple[Link, ...] = ()
-    link_faults: Tuple[FaultSchedule, ...] = ()
     start: List[float] = field(default_factory=list)
     size: List[float] = field(default_factory=list)
     client: List[int] = field(default_factory=list)
@@ -135,56 +142,17 @@ class BatchFluidSimulator:
 
         ``link`` + ``faults`` is the classic single-bottleneck form:
         ``faults`` attaches a per-experiment link-fault schedule
-        (:mod:`repro.simnet.faults`); experiments with and without
-        schedules mix freely in one batch.
+        (:mod:`repro.simnet.faults`); it is stored as a one-hop route.
 
         ``links`` + ``link_faults`` is the routed multi-hop form: the
         ordered links of the route (e.g. from
         :meth:`~repro.simnet.topology.Topology.route` via ``.links``)
-        and one fault schedule per link.  A one-link route is normalised
-        to the classic form, so single-link topologies take the exact
-        pre-routing code path (and stay bit-identical to it).  Multi-hop
-        and single-link experiments mix freely in one batch.
+        and one fault schedule per link.  Experiments of either form,
+        with and without schedules, mix freely in one batch.
         """
-        if (link is None) == (links is None):
-            raise ValidationError(
-                "pass exactly one of link= (single bottleneck) or "
-                "links= (routed multi-hop)"
-            )
-        if links is not None:
-            route_links = tuple(links)
-            if not route_links:
-                raise ValidationError("links must name >= 1 link")
-            if faults is not None:
-                raise ValidationError(
-                    "a routed experiment takes per-link schedules via "
-                    "link_faults=, not a per-experiment faults= schedule"
-                )
-            per_link = coerce_link_faults(link_faults, len(route_links))
-            if len(route_links) == 1:
-                # One-hop route: exactly the classic experiment.
-                link, faults = route_links[0], per_link[0]
-                route_links, per_link = (), ()
-        else:
-            if link_faults is not None:
-                raise ValidationError(
-                    "link_faults= needs links=; a single-link experiment "
-                    "takes its schedule via faults="
-                )
-            route_links, per_link = (), ()
-        if route_links:
-            bottleneck = min(route_links, key=lambda l: l.capacity_gbps)
-            route_rtt = sum(l.rtt_s for l in route_links)
-        else:
-            assert link is not None
-            bottleneck = link
-            route_rtt = link.rtt_s
-        dt = self._dt_given if self._dt_given is not None else route_rtt / 4.0
-        if dt > route_rtt:
-            raise ValidationError(
-                f"dt_s ({dt}) must not exceed the base RTT "
-                f"({route_rtt}); the fluid model is RTT-quantised"
-            )
+        route, per_link, bottleneck, dt = resolve_route(
+            link, links, faults, link_faults, self._dt_given
+        )
         if self._resolved_dt is None:
             self._resolved_dt = dt
         elif dt != self._resolved_dt:
@@ -196,11 +164,10 @@ class BatchFluidSimulator:
         self._experiments.append(
             _Experiment(
                 link=bottleneck,
+                links=route,
+                link_faults=per_link,
                 config=config or TcpConfig(),
                 rng=np.random.default_rng(seed),
-                faults=coerce_faults(faults),
-                links=route_links,
-                link_faults=per_link,
             )
         )
         return len(self._experiments) - 1
@@ -361,45 +328,59 @@ class BatchFluidSimulator:
         """
         ensure_positive(max_time_s, "max_time_s")
         results: List[Optional[SimulationResult]] = [None] * len(self._experiments)
-
-        # Zero-flow experiments finish immediately (sequential
-        # semantics); the rest partition into the classic single-link
-        # batch and the routed multi-link batch — the single-link loop
-        # is untouched by routing, which keeps it bit-identical to the
-        # pre-routing engine.
-        todo = [
-            i for i, exp in enumerate(self._experiments) if len(exp.start) > 0
-        ]
+        # Zero-flow experiments finish immediately (sequential semantics).
+        todo = []
         for i, exp in enumerate(self._experiments):
-            if len(exp.start) == 0:
+            if exp.start:
+                todo.append(i)
+            else:
                 results[i] = _empty_result(exp.link.capacity_bytes_per_s)
-        todo_single = [i for i in todo if not self._experiments[i].links]
-        todo_multi = [i for i in todo if self._experiments[i].links]
-        if todo_single:
-            for i, sim_result in zip(
-                todo_single, self._run_batch(todo_single, max_time_s)
-            ):
-                results[i] = sim_result
-        if todo_multi:
-            for i, sim_result in zip(
-                todo_multi, self._run_batch_multilink(todo_multi, max_time_s)
-            ):
+        if todo:
+            for i, sim_result in zip(todo, self._simulate(todo, max_time_s)):
                 results[i] = sim_result
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def _run_batch(
+    def _simulate(
         self, todo: List[int], max_time_s: float
     ) -> List[SimulationResult]:
         """The vectorized multi-experiment update loop.
 
-        Every statement mirrors one statement of
-        :meth:`FluidTcpSimulator.run`; comments mark the few places
-        where per-experiment scalars replace the sequential scalars.
-        Experiments whose flows all complete are *retired*: their result
-        is assembled from their segment and the stacked arrays are
-        compacted, so the drain tail of a batch runs on ever-smaller
-        arrays.
+        Every statement mirrors one statement of the scalar single-link
+        loop :meth:`FluidTcpSimulator.run
+        <repro.simnet.tcp.FluidTcpSimulator.run>`, generalised from one
+        bottleneck to an experiment's route:
+
+        - every link along the route keeps its own queue, buffer and
+          fault-scaled capacity, and arrivals *cascade*: each link sees
+          the previous link's departures, so a flow's rate is its demand
+          scaled by the minimum per-link share along the route;
+        - the effective RTT is the route's base RTT plus the sum of
+          per-link queueing delays, and the completion drain is the sum
+          of per-link drain times;
+        - droptail loss fires per overflowing link, in route order, each
+          round consuming the experiment's own RNG stream;
+        - per-link fault schedules scale each link's capacity
+          independently — a shared-WAN outage stalls the route while
+          leaving the other hops' queues draining.
+
+        **L=1 contract.**  For a one-hop route each of these reduces to
+        exactly the sequential single-link arithmetic (``0.0 + x`` and
+        one-term sums are exact, and an uncapped hop leaves the rate
+        scale at exactly ``1.0``), so a single-link
+        experiment is bit-identical to ``FluidTcpSimulator.run``, which
+        stays as the independent reference the equivalence tests
+        compare against.
+
+        The per-flow arithmetic is one masked numpy pass over the
+        stacked arrays (gathering per-experiment scalars through
+        ``exp_idx``); the link dimension is a short per-experiment
+        cascade in Python floats.  Experiments whose flows all complete
+        are *retired*: their result is assembled from their segment and
+        the stacked arrays are compacted, so the drain tail of a batch
+        runs on ever-smaller arrays.  Per-experiment state is indexed by
+        batch position ``e``; segments and segment reductions by live
+        position ``j``.
         """
         dt = self._resolved_dt
         assert dt is not None  # at least one experiment registered
@@ -409,47 +390,60 @@ class BatchFluidSimulator:
 
         # --- static per-experiment scalars (Python floats, like the
         # sequential engine's locals; indexed by batch position) -----------
-        caps = [exp.link.capacity_bytes_per_s for exp in exps]
-        rtts = [exp.link.rtt_s for exp in exps]
-        buffers = [exp.link.buffer_bytes for exp in exps]
+        links_e = [exp.links for exp in exps]
         cfgs = [exp.config for exp in exps]
         rngs = [exp.rng for exp in exps]
         n_flows = [len(exp.start) for exp in exps]
+        # Reporting (and rwnd) normalise against the route bottleneck;
+        # the base RTT is the whole route's and the MSS is the smallest
+        # hop MTU (path-MTU discovery).
+        caps = [exp.link.capacity_bytes_per_s for exp in exps]
+        rtts = [sum(l.rtt_s for l in ls) for ls in links_e]
+        mss_e = [float(min(l.mss_bytes for l in ls)) for ls in links_e]
         rwnds = [
-            cfg.rwnd_bdp * exp.link.bdp_segments for cfg, exp in zip(cfgs, exps)
+            cfg.rwnd_bdp * (caps[e] * rtts[e] / mss_e[e])
+            for e, cfg in enumerate(cfgs)
         ]
-        # Congestion-control statics: the DCTCP marking threshold, the
-        # exogenous-loss rate per byte sent, and the delay-CC smoothed-RTT
-        # threshold (all Python floats, gathered through `exp_idx` where a
-        # per-flow op needs them).
+        # `hops[e]` iterates an experiment's links in route order; a
+        # prebuilt range keeps the one-hop case nearly as cheap as a
+        # scalar (a `zip` per experiment and step costs several times
+        # more).
+        hops = [range(len(ls)) for ls in links_e]
+        lcap = [[l.capacity_bytes_per_s for l in ls] for ls in links_e]
+        lbuf = [[l.buffer_bytes for l in ls] for ls in links_e]
+        # Congestion-control statics: the per-link DCTCP marking
+        # thresholds, the exogenous-loss rate per byte sent, and the
+        # delay-CC smoothed-RTT threshold.
         mark_bytes = [
-            cfg.dctcp_marking_bdp * exp.link.bdp_bytes
-            for cfg, exp in zip(cfgs, exps)
+            [cfgs[e].dctcp_marking_bdp * l.bdp_bytes for l in ls]
+            for e, ls in enumerate(links_e)
         ]
-        lrate = [
-            cfg.loss_rate / float(exp.link.mss_bytes)
-            for cfg, exp in zip(cfgs, exps)
+        lrate = [cfg.loss_rate / mss_e[e] for e, cfg in enumerate(cfgs)]
+        dthr = [cfg.delay_threshold * rtts[e] for e, cfg in enumerate(cfgs)]
+        hystart_q = [
+            cfg.hystart_delay_frac * rtts[e] for e, cfg in enumerate(cfgs)
         ]
-        dthr = [
-            cfg.delay_threshold * exp.link.rtt_s
-            for cfg, exp in zip(cfgs, exps)
-        ]
+        dctcp_g = [cfg.dctcp_gain for cfg in cfgs]
         dsmooth = [cfg.delay_smoothing for cfg in cfgs]
         dgain = [cfg.delay_gain for cfg in cfgs]
         icw = [cfg.initial_cwnd_segments for cfg in cfgs]
         issth = [cfg.initial_ssthresh_segments for cfg in cfgs]
-        # Fault-injection statics: the per-experiment schedules, which
-        # experiments actually carry an effective one, and the stall/
-        # retry knobs.  `has_faults` gates every fault statement below,
-        # so a fault-free batch executes the exact statement sequence of
-        # the pre-fault engine (and a faulted batch still runs the
-        # fault-free experiments' flows through unchanged arithmetic —
-        # the per-flow `fault_flow` mask keeps the stall machinery away
-        # from them).
-        fault_scheds = [exp.faults for exp in exps]
-        exp_faulted = [
-            bool(f) and not schedule_is_noop(f) for f in fault_scheds
+        # Fault-injection statics: per experiment, the links whose
+        # schedule is effective, as (hop, nominal capacity, schedule).
+        # `has_faults` gates every fault statement below, so a
+        # fault-free batch executes the exact statement sequence of the
+        # fault-free sequential step (and the per-flow `fault_flow` mask
+        # keeps the stall machinery away from fault-free experiments
+        # sharing a faulted batch).
+        fault_hops = [
+            [
+                (i, lcap[e][i], f)
+                for i, f in enumerate(exp.link_faults)
+                if f and not schedule_is_noop(f)
+            ]
+            for e, exp in enumerate(exps)
         ]
+        exp_faulted = [bool(fh) for fh in fault_hops]
         has_faults = any(exp_faulted)
         stall_s = [cfg.stall_timeout_s for cfg in cfgs]
         rback = [cfg.retry_backoff_s for cfg in cfgs]
@@ -495,15 +489,13 @@ class BatchFluidSimulator:
         loss_events = np.zeros(n, dtype=np.int64)
         timeout_events = np.zeros(n, dtype=np.int64)
         recovery_until = np.zeros(n)
-        mss_flow = np.concatenate(
-            [np.full(m, float(exp.link.mss_bytes)) for m, exp in zip(n_flows, exps)]
-        )
+        mss_flow = np.repeat(np.asarray(mss_e), n_flows)
         rwnd_flow = np.repeat(np.asarray(rwnds), n_flows)
 
         # Per-flow congestion-control dispatch (codes of CcKind) and the
         # state only the non-Reno controllers touch; the `has_*` gates
         # keep a pure-Reno batch statement-for-statement identical to the
-        # historical loop.
+        # sequential Reno step.
         cc_flow = np.concatenate(
             [np.asarray(exp.cc, dtype=np.int8) for exp in exps]
         )
@@ -523,14 +515,14 @@ class BatchFluidSimulator:
         retries = np.zeros(n, dtype=np.int64)
         aborted = np.zeros(n, dtype=bool)
 
-        # --- per-experiment dynamic scalars (Python floats, converted to
-        # arrays only where a per-flow gather needs them; batch position) --
-        queues = [0.0] * n_exp
-        # Effective capacity under each experiment's fault schedule;
-        # `caps_t[e] is caps[e]` whenever no fault window is open.
-        caps_t = list(caps)
+        # --- per-experiment dynamic state (Python floats, converted to
+        # arrays only where a per-flow gather needs them; batch position).
+        # The link dimension is a short list per experiment, in route
+        # order; `lcapt[e][i]` is the fault-scaled capacity. ---------------
+        lqueue = [[0.0] * len(h) for h in hops]
+        lcapt = [list(c) for c in lcap]
+        loverflow = [[0.0] * len(h) for h in hops]
         buckets = [0.0] * n_exp
-        overflow = [0.0] * n_exp
         qdelay = [0.0] * n_exp
         rtt_eff = [1.0] * n_exp
         scale = [1.0] * n_exp
@@ -554,8 +546,8 @@ class BatchFluidSimulator:
         def flush_final(e: int, active_count: int) -> None:
             if t - bucket_start > 1e-12:
                 samples[e].append(
-                    bucket_start, t - bucket_start, buckets[e], queues[e],
-                    active_count,
+                    bucket_start, t - bucket_start, buckets[e],
+                    sum(lqueue[e]), active_count,
                 )
             end_time[e] = t
 
@@ -597,16 +589,15 @@ class BatchFluidSimulator:
             rto_expired = (state == _TIMEOUT) & (rto_until <= t)
             state[rto_expired] = _RUNNING
 
-            # Effective per-experiment capacity under the fault schedules
+            # Per-link effective capacity under the fault schedules
             # (mirrors the sequential engine's `cap_t`; Python floats).
             if has_faults:
                 if np.any(newly_started):
                     last_progress[newly_started] = t
                 for e in live:
-                    if exp_faulted[e]:
-                        caps_t[e] = caps[e] * capacity_factor(
-                            fault_scheds[e], t
-                        )
+                    lc = lcapt[e]
+                    for i, c, f in fault_hops[e]:
+                        lc[i] = c * capacity_factor(f, t)
 
             active = state == _RUNNING
             counts = np.add.reduceat(active, red_offs, dtype=np.int64).tolist()
@@ -617,9 +608,10 @@ class BatchFluidSimulator:
             # the (result-identical) full update instead.
             if sum(counts) == 0 and not has_faults:
                 # --- adaptive time advance: every live flow is pending or
-                # in RTO; fast-forward with scalar-only steps (queue drain
-                # + sampling — exactly what the per-step loop would do)
-                # until the next start/expiry or the time horizon.
+                # in RTO; fast-forward with scalar-only steps (every link
+                # drains at its own line rate + sampling — exactly what
+                # the per-step loop would do) until the next start/expiry
+                # or the time horizon.
                 cand = np.where(state == _PENDING, start, np.inf)
                 cand = np.where(state == _TIMEOUT, rto_until, cand)
                 t_next = float(cand.min())
@@ -630,14 +622,17 @@ class BatchFluidSimulator:
                     )
                 while True:
                     for e in live:
-                        if queues[e] > 0.0:
-                            queues[e] = max(0.0, queues[e] - caps[e] * dt)
+                        lq = lqueue[e]
+                        lc = lcap[e]
+                        for i in hops[e]:
+                            if lq[i] > 0.0:
+                                lq[i] = max(0.0, lq[i] - lc[i] * dt)
                     t += dt
                     if t - bucket_start >= si - 1e-12:
                         for e in live:
                             samples[e].append(
                                 bucket_start, t - bucket_start, buckets[e],
-                                queues[e], 0,
+                                sum(lqueue[e]), 0,
                             )
                             buckets[e] = 0.0
                         bucket_start = t
@@ -645,13 +640,18 @@ class BatchFluidSimulator:
                         break
                 continue
 
-            # --- per-experiment effective RTT (start-of-step queues) ------
+            # --- effective RTT: route base RTT + per-link queueing delays
+            # (start-of-step queues) ---------------------------------------
             for e in live:
-                qd = queues[e] / caps[e]
+                lq = lqueue[e]
+                lc = lcap[e]
+                qd = 0.0
+                for i in hops[e]:
+                    qd += lq[i] / lc[i]
                 qdelay[e] = qd
                 rtt_eff[e] = rtts[e] + qd
 
-            # --- demands and proportional share (whole batch) -------------
+            # --- demands and the cascaded per-link share (whole batch) ----
             rtt_eff_flow = np.asarray(rtt_eff)[exp_idx]
             demand = np.minimum(cwnd * mss_flow / rtt_eff_flow, remaining / dt)
             demand *= active  # zero inactive flows (bit-equal to np.where)
@@ -660,30 +660,53 @@ class BatchFluidSimulator:
             # reductions run on contiguous segment views (same pairwise
             # summation as the sequential `demand.sum()`), the scalar
             # arithmetic stays in Python floats.
-            any_overflow = False
+            overflowing = []  # (j, e) of experiments with a dropping hop
+            hystart = []
             for j, e in enumerate(live):
+                lq = lqueue[e]
+                lo = loverflow[e]
+                lc = lcapt[e]
                 if counts[j] == 0:
-                    # Nothing sending in this experiment: queue drains at
-                    # line rate.
-                    queues[e] = max(0.0, queues[e] - caps_t[e] * dt)
-                    overflow[e] = 0.0
+                    # Nothing sending in this experiment: every queue
+                    # drains at its line rate.
+                    for i in hops[e]:
+                        lq[i] = max(0.0, lq[i] - lc[i] * dt)
+                        lo[i] = 0.0
                     scale[e] = 1.0
                     continue
+                # HyStart candidates (acted on after the loss step, like
+                # the sequential step; both inputs are start-of-step).
+                if qdelay[e] > hystart_q[e]:
+                    hystart.append((j, e))
                 # The one bit-critical reduction: pairwise `.sum()` on
                 # the contiguous segment view, exactly the sequential
                 # engine's `demand.sum()`.
                 total_demand = float(demand[segments[j]].sum())
-                cap = caps_t[e]
-                if total_demand <= cap:
-                    scale[e] = 1.0
-                    queues[e] = max(0.0, queues[e] - (cap - total_demand) * dt)
-                    overflow[e] = 0.0
-                else:
-                    scale[e] = cap / total_demand
-                    q = queues[e] + (total_demand - cap) * dt
-                    overflow[e] = max(0.0, q - buffers[e])
-                    queues[e] = min(q, buffers[e])
-                    any_overflow = any_overflow or overflow[e] > 0.0
+                # Arrivals cascade hop by hop: link i sees link i-1's
+                # departures, queues the excess over its (fault-scaled)
+                # capacity and drops what its buffer cannot hold.  The
+                # flows' shared rate scale is the surviving fraction.
+                arrival = total_demand
+                dropped = False
+                for i in hops[e]:
+                    cap_t = lc[i]
+                    if arrival <= cap_t:
+                        lq[i] = max(0.0, lq[i] - (cap_t - arrival) * dt)
+                        lo[i] = 0.0
+                    else:
+                        q = lq[i] + (arrival - cap_t) * dt
+                        buf = lbuf[e][i]
+                        lo[i] = max(0.0, q - buf)
+                        lq[i] = min(q, buf)
+                        dropped = dropped or lo[i] > 0.0
+                        arrival = cap_t
+                if dropped:
+                    overflowing.append((j, e))
+                # No hop capped the arrivals: exactly 1.0, as is
+                # `total_demand / total_demand` (and a zero demand).
+                scale[e] = (
+                    1.0 if arrival == total_demand else arrival / total_demand
+                )
 
             sent = demand * np.asarray(scale)[exp_idx]
             sent *= dt
@@ -695,86 +718,91 @@ class BatchFluidSimulator:
             # One strict-order segment reduction for every experiment's
             # sample bucket (matches the sequential `_strict_sum`).
             sent_sums = np.add.reduceat(sent, red_offs).tolist()
-            for j, e in enumerate(live):
-                buckets[e] += sent_sums[j]
+            for e, nbytes in zip(live, sent_sums):
+                buckets[e] += nbytes
 
             # --- completions (whole batch) --------------------------------
             finished = active & (remaining <= 1e-6)
             any_finished = bool(finished.any())
             if any_finished:
-                # Completion stamp: last bytes drain through the queue
-                # plus half an RTT for the final acknowledgement.  (The
-                # inf guard mirrors the sequential engine: during a full
-                # outage nothing finishes, but the stamp is computed for
-                # every live experiment.)
+                # Completion stamp: the last bytes drain through every
+                # queue along the route, plus half the route RTT for the
+                # final acknowledgement.  (During a full outage nothing
+                # finishes, but the stamp is computed for every live
+                # experiment, like the sequential engine's inf guard.)
                 for e in live:
-                    fin[e] = (
-                        t + dt
-                        + (
-                            queues[e] / caps_t[e]
-                            if caps_t[e] > 0.0
-                            else math.inf
-                        )
-                        + rtts[e] / 2.0
-                    )
+                    lq = lqueue[e]
+                    lc = lcapt[e]
+                    drain = 0.0
+                    for i in hops[e]:
+                        if lc[i] > 0.0:
+                            drain += lq[i] / lc[i]
+                        else:
+                            drain = math.inf
+                            break
+                    fin[e] = t + dt + drain + rtts[e] / 2.0
                 end[finished] = np.asarray(fin)[exp_idx][finished]
                 state[finished] = _DONE
                 active = state == _RUNNING
 
-            # --- droptail loss on overflow (per overflowing experiment:
-            # each one consumes its own RNG stream) ------------------------
-            for j, e in enumerate(live) if any_overflow else ():
-                if overflow[e] <= 0.0:
-                    continue
+            # --- droptail loss, per overflowing link in route order (each
+            # round consumes the experiment's own RNG stream) --------------
+            for j, e in overflowing:
                 seg = segments[j]
                 a = active[seg]
-                if not a.any():
-                    continue
-                cfg = cfgs[e]
-                m = n_flows[e]
-                d = demand[seg]
-                offered = float(d[a].sum()) * dt
-                loss_frac = min(1.0, overflow[e] / max(offered, 1.0))
-                p_loss = np.minimum(1.0, loss_frac * cfg.loss_aggressiveness)
-                rec = recovery_until[seg]
-                eligible = a & (rec <= t)
-                hit = eligible & (rngs[e].random(m) < p_loss)
-                if hit.any():
-                    cw = cwnd[seg]
-                    ss = ssthresh[seg]
-                    st = state[seg]
-                    rec[hit] = t + dt + rtt_eff[e]
-                    in_ca = cw >= ss
-                    burst = (
-                        hit
-                        & in_ca
-                        & (
-                            rngs[e].random(m)
-                            < cfg.timeout_on_loss_scale * loss_frac
+                for ovf in loverflow[e]:
+                    if ovf <= 0.0:
+                        continue
+                    if not a.any():
+                        break
+                    cfg = cfgs[e]
+                    m = n_flows[e]
+                    d = demand[seg]
+                    offered = float(d[a].sum()) * dt
+                    loss_frac = min(1.0, ovf / max(offered, 1.0))
+                    p_loss = np.minimum(1.0, loss_frac * cfg.loss_aggressiveness)
+                    rec = recovery_until[seg]
+                    eligible = a & (rec <= t)
+                    hit = eligible & (rngs[e].random(m) < p_loss)
+                    if hit.any():
+                        cw = cwnd[seg]
+                        ss = ssthresh[seg]
+                        st = state[seg]
+                        rec[hit] = t + dt + rtt_eff[e]
+                        in_ca = cw >= ss
+                        burst = (
+                            hit
+                            & in_ca
+                            & (
+                                rngs[e].random(m)
+                                < cfg.timeout_on_loss_scale * loss_frac
+                            )
                         )
-                    )
-                    small = hit & (
-                        (cw < cfg.min_fast_retransmit_segments) | burst
-                    )
-                    fast = hit & ~small
-                    ss[fast] = np.maximum(cw[fast] / 2.0, 2.0)
-                    cw[fast] = ss[fast]
-                    loss_events[seg][fast] += 1
-                    if small.any():
-                        back = rto_backoff[seg]
-                        until = rto_until[seg]
-                        rto = np.minimum(
-                            cfg.rto_min_s * (2.0 ** back[small]),
-                            cfg.rto_max_s,
+                        small = hit & (
+                            (cw < cfg.min_fast_retransmit_segments) | burst
                         )
-                        until[small] = t + dt + rto
-                        back[small] += 1
-                        ss[small] = np.maximum(cw[small] / 2.0, 2.0)
-                        cw[small] = 1.0
-                        st[small] = _TIMEOUT
-                        timeout_events[seg][small] += 1
-                        loss_events[seg][small] += 1
-                    rto_backoff[seg][a & ~hit] = 0
+                        fast = hit & ~small
+                        ss[fast] = np.maximum(cw[fast] / 2.0, 2.0)
+                        cw[fast] = ss[fast]
+                        loss_events[seg][fast] += 1
+                        if small.any():
+                            back = rto_backoff[seg]
+                            until = rto_until[seg]
+                            rto = np.minimum(
+                                cfg.rto_min_s * (2.0 ** back[small]),
+                                cfg.rto_max_s,
+                            )
+                            until[small] = t + dt + rto
+                            back[small] += 1
+                            ss[small] = np.maximum(cw[small] / 2.0, 2.0)
+                            cw[small] = 1.0
+                            st[small] = _TIMEOUT
+                            timeout_events[seg][small] += 1
+                            loss_events[seg][small] += 1
+                        rto_backoff[seg][a & ~hit] = 0
+                        # Timed-out flows stop sending: later hops of
+                        # the route see only the survivors.
+                        a = st == _RUNNING
 
             # --- exogenous path loss (deterministic fluid form; value-
             # identical to the sequential block — zero-rate experiments
@@ -795,17 +823,15 @@ class BatchFluidSimulator:
                     loss_events[lossy] += 1
                     loss_credit[lossy] -= np.floor(loss_credit[lossy])
 
-            # --- HyStart: delay-based slow-start exit (per experiment;
-            # runs before the CC signals, like the sequential step) --------
-            for j, e in enumerate(live):
-                if counts[j] > 0:
-                    cfg = cfgs[e]
-                    if qdelay[e] > cfg.hystart_delay_frac * rtts[e]:
-                        seg = segments[j]
-                        cw = cwnd[seg]
-                        ss = ssthresh[seg]
-                        ramping = (state[seg] == _RUNNING) & (cw < ss)
-                        ss[ramping] = np.maximum(cw[ramping], 2.0)
+            # --- HyStart: delay-based slow-start exit (per candidate
+            # experiment; runs before the CC signals, like the sequential
+            # step) --------------------------------------------------------
+            for j, e in hystart:
+                seg = segments[j]
+                cw = cwnd[seg]
+                ss = ssthresh[seg]
+                ramping = (state[seg] == _RUNNING) & (cw < ss)
+                ss[ramping] = np.maximum(cw[ramping], 2.0)
 
             # --- congestion signals of the non-Reno controllers (masked
             # elementwise updates over the stacked arrays; per-experiment
@@ -813,9 +839,20 @@ class BatchFluidSimulator:
             backoff = None
             if has_dctcp:
                 for e in live:
-                    marked[e] = 1.0 if queues[e] > mark_bytes[e] else 0.0
-                    again[e] = cfgs[e].dctcp_gain * (dt / rtt_eff[e])
-                    khalf[e] = 0.5 * (dt / rtt_eff[e])
+                    # The route marks when any hop's queue exceeds that
+                    # hop's own threshold (ECN marks survive to the
+                    # receiver regardless of which switch set them).
+                    lq = lqueue[e]
+                    mb = mark_bytes[e]
+                    mk = 0.0
+                    for i in hops[e]:
+                        if lq[i] > mb[i]:
+                            mk = 1.0
+                            break
+                    marked[e] = mk
+                    x = dt / rtt_eff[e]
+                    again[e] = dctcp_g[e] * x
+                    khalf[e] = 0.5 * x
                 upd = (state == _RUNNING) & is_dctcp
                 marked_flow = np.asarray(marked)[exp_idx]
                 dctcp_alpha[upd] += np.asarray(again)[exp_idx][upd] * (
@@ -859,8 +896,9 @@ class BatchFluidSimulator:
             for j, e in enumerate(live):
                 if grow_counts[j] > 0:
                     # Same Python-scalar power as the sequential step.
-                    factor[e] = 2.0 ** (dt / rtt_eff[e])
-                    incr[e] = dt / rtt_eff[e]
+                    x = dt / rtt_eff[e]
+                    factor[e] = 2.0 ** x
+                    incr[e] = x
                     clamp[e] = True
                 else:
                     clamp[e] = False
@@ -917,12 +955,12 @@ class BatchFluidSimulator:
                         abort_now = exhausted
                     if np.any(retry):
                         retries[retry] += 1
-                        backoff = np.minimum(
+                        retry_delay = np.minimum(
                             np.asarray(rback)[exp_idx][retry]
                             * (2.0 ** (retries[retry] - 1.0)),
                             np.asarray(rbmax)[exp_idx][retry],
                         )
-                        rto_until[retry] = t + dt + backoff
+                        rto_until[retry] = t + dt + retry_delay
                         state[retry] = _TIMEOUT
                         cwnd[retry] = np.asarray(icw)[exp_idx][retry]
                         ssthresh[retry] = np.asarray(issth)[exp_idx][retry]
@@ -940,7 +978,8 @@ class BatchFluidSimulator:
                 interval = t - bucket_start
                 for j, e in enumerate(live):
                     samples[e].append(
-                        bucket_start, interval, buckets[e], queues[e], counts[j]
+                        bucket_start, interval, buckets[e], sum(lqueue[e]),
+                        counts[j],
                     )
                     buckets[e] = 0.0
                 bucket_start = t
@@ -954,7 +993,6 @@ class BatchFluidSimulator:
                 fin_counts = np.add.reduceat(
                     completed, red_offs, dtype=np.int64
                 ).tolist()
-                retired = False
                 keep = None
                 still_live = []
                 for j, e in enumerate(live):
@@ -965,10 +1003,9 @@ class BatchFluidSimulator:
                         if keep is None:
                             keep = np.ones(state.shape[0], dtype=bool)
                         keep[segments[j]] = False
-                        retired = True
                     else:
                         still_live.append(e)
-                if retired:
+                if keep is not None:
                     live = still_live
                     (start, size, remaining, cwnd, ssthresh, state, rto_until,
                      rto_backoff, end, loss_events, timeout_events,
@@ -991,585 +1028,6 @@ class BatchFluidSimulator:
                     # Once every faulted experiment has retired, the
                     # remaining batch regains the scalar fast-forward
                     # (a pure, result-identical optimisation).
-                    has_faults = any(exp_faulted[e] for e in live)
-
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def _run_batch_multilink(
-        self, todo: List[int], max_time_s: float
-    ) -> List[SimulationResult]:
-        """The vectorized update loop for routed multi-link experiments.
-
-        Structure mirrors :meth:`_run_batch` statement for statement;
-        the differences are exactly the flow×link generalisation:
-
-        - every link along an experiment's route keeps its own queue,
-          buffer and fault-scaled capacity, and arrivals *cascade*: each
-          link sees the previous link's departures, so a flow's rate is
-          its demand scaled by the minimum per-link share along the
-          route (the single-bottleneck formula falls out for one link);
-        - the effective RTT is the route's base RTT plus the sum of
-          per-link queueing delays, and the completion drain is the sum
-          of per-link drain times;
-        - droptail loss fires per overflowing link, in route order, each
-          round consuming the experiment's own RNG stream exactly like a
-          single-link overflow event;
-        - per-link fault schedules scale each link's capacity
-          independently — a shared-WAN outage stalls the route while
-          leaving the other hops' queues draining.
-
-        Because every flow of an experiment traverses the experiment's
-        whole route, the flow×link incidence is block-sparse with one
-        block per experiment: the per-flow arithmetic stays one masked
-        numpy pass over the stacked arrays (gathering per-experiment
-        scalars through ``exp_idx``), while the link dimension is a
-        short per-experiment cascade in Python floats — the same scalar
-        discipline as the single-link loop's queue bookkeeping.
-
-        Experiments whose flows all complete are retired in place (no
-        array compaction: completed flows are masked out, and the
-        retired experiment stops sampling), which keeps the fixed
-        segment layout valid for the whole run.
-        """
-        dt = self._resolved_dt
-        assert dt is not None
-        si = self.sample_interval_s
-        n_exp = len(todo)
-        exps = [self._experiments[i] for i in todo]
-
-        # --- static per-experiment scalars (Python floats) ----------------
-        links_e = [list(exp.links) for exp in exps]
-        n_links = [len(ls) for ls in links_e]
-        cfgs = [exp.config for exp in exps]
-        rngs = [exp.rng for exp in exps]
-        n_flows = [len(exp.start) for exp in exps]
-        # Reporting (and rwnd) normalise against the route bottleneck;
-        # the base RTT is the whole route's and the MSS is the smallest
-        # hop MTU (path-MTU discovery).
-        caps = [exp.link.capacity_bytes_per_s for exp in exps]
-        rtts = [sum(l.rtt_s for l in ls) for ls in links_e]
-        mss_e = [float(min(l.mss_bytes for l in ls)) for ls in links_e]
-        rwnds = [
-            cfg.rwnd_bdp * (caps[e] * rtts[e] / mss_e[e])
-            for e, cfg in enumerate(cfgs)
-        ]
-        lcap = [[l.capacity_bytes_per_s for l in ls] for ls in links_e]
-        lbuf = [[l.buffer_bytes for l in ls] for ls in links_e]
-        mark_bytes = [
-            [cfgs[e].dctcp_marking_bdp * l.bdp_bytes for l in ls]
-            for e, ls in enumerate(links_e)
-        ]
-        lrate = [cfg.loss_rate / mss_e[e] for e, cfg in enumerate(cfgs)]
-        dthr = [cfg.delay_threshold * rtts[e] for e, cfg in enumerate(cfgs)]
-        dsmooth = [cfg.delay_smoothing for cfg in cfgs]
-        dgain = [cfg.delay_gain for cfg in cfgs]
-        icw = [cfg.initial_cwnd_segments for cfg in cfgs]
-        issth = [cfg.initial_ssthresh_segments for cfg in cfgs]
-        # Per-link fault schedules; `has_faults` gates the stall
-        # machinery exactly like the single-link loop.
-        lfaults = [list(exp.link_faults) for exp in exps]
-        lfx = [
-            [bool(f) and not schedule_is_noop(f) for f in fs]
-            for fs in lfaults
-        ]
-        exp_faulted = [any(flags) for flags in lfx]
-        has_faults = any(exp_faulted)
-        stall_s = [cfg.stall_timeout_s for cfg in cfgs]
-        rback = [cfg.retry_backoff_s for cfg in cfgs]
-        rbmax = [cfg.retry_backoff_max_s for cfg in cfgs]
-        rmax = [cfg.max_retries for cfg in cfgs]
-
-        # --- stacked flow arrays (fixed layout; retirement masks rather
-        # than compacts, so segments stay valid for the whole run) ---------
-        offs = [0]
-        for m in n_flows:
-            offs.append(offs[-1] + m)
-        segments = [slice(offs[k], offs[k + 1]) for k in range(n_exp)]
-        red_offs = np.asarray(offs[:-1], dtype=np.intp)
-        exp_idx = np.repeat(np.arange(n_exp, dtype=np.intp), n_flows)
-
-        start = np.concatenate([np.asarray(exp.start) for exp in exps])
-        size = np.concatenate([np.asarray(exp.size) for exp in exps])
-        remaining = size.copy()
-        cwnd = np.concatenate(
-            [np.full(m, cfg.initial_cwnd_segments) for m, cfg in zip(n_flows, cfgs)]
-        )
-        ssthresh = np.concatenate(
-            [
-                np.full(m, cfg.initial_ssthresh_segments)
-                for m, cfg in zip(n_flows, cfgs)
-            ]
-        )
-        n = start.shape[0]
-        state = np.full(n, _PENDING, dtype=np.int8)
-        rto_until = np.zeros(n)
-        rto_backoff = np.zeros(n, dtype=np.int32)
-        end = np.full(n, np.nan)
-        loss_events = np.zeros(n, dtype=np.int64)
-        timeout_events = np.zeros(n, dtype=np.int64)
-        recovery_until = np.zeros(n)
-        mss_flow = np.repeat(np.asarray(mss_e), n_flows)
-        rwnd_flow = np.repeat(np.asarray(rwnds), n_flows)
-
-        cc_flow = np.concatenate(
-            [np.asarray(exp.cc, dtype=np.int8) for exp in exps]
-        )
-        is_dctcp = cc_flow == int(CcKind.DCTCP)
-        is_delay = cc_flow == int(CcKind.DELAY)
-        has_dctcp = bool(is_dctcp.any())
-        has_delay = bool(is_delay.any())
-        has_loss = any(r > 0.0 for r in lrate)
-        dctcp_alpha = np.zeros(n)
-        rtt_smooth = np.zeros(n)
-        loss_credit = np.zeros(n)
-
-        fault_flow = np.repeat(np.asarray(exp_faulted, dtype=bool), n_flows)
-        last_progress = np.zeros(n)
-        stall_time = np.zeros(n)
-        retries = np.zeros(n, dtype=np.int64)
-        aborted = np.zeros(n, dtype=bool)
-
-        # --- per-experiment dynamic state (Python floats; the link
-        # dimension is a short list per experiment, in route order) --------
-        lqueue = [[0.0] * k for k in n_links]
-        lcapt = [list(c) for c in lcap]
-        loverflow = [[0.0] * k for k in n_links]
-        buckets = [0.0] * n_exp
-        qdelay = [0.0] * n_exp
-        rtt_eff = [1.0] * n_exp
-        scale = [1.0] * n_exp
-        fin = [0.0] * n_exp
-        factor = [1.0] * n_exp
-        incr = [0.0] * n_exp
-        clamp = [False] * n_exp
-        marked = [0.0] * n_exp
-        again = [0.0] * n_exp
-        khalf = [0.0] * n_exp
-        dshr = [1.0] * n_exp
-        rec_t = [0.0] * n_exp
-        end_time = [0.0] * n_exp
-        done_count = [0] * n_exp
-        samples = [SampleLog() for _ in range(n_exp)]
-        results: List[Optional[SimulationResult]] = [None] * n_exp
-
-        live = list(range(n_exp))
-        t = 0.0
-        bucket_start = 0.0
-
-        def flush_final(e: int, active_count: int) -> None:
-            if t - bucket_start > 1e-12:
-                samples[e].append(
-                    bucket_start, t - bucket_start, buckets[e],
-                    sum(lqueue[e]), active_count,
-                )
-            end_time[e] = t
-
-        def build_result(e: int) -> SimulationResult:
-            seg = segments[e]
-            result = SimulationResult.from_columns(
-                flow_columns={
-                    "flow_id": np.arange(n_flows[e], dtype=np.int64),
-                    "client_id": np.asarray(exps[e].client, dtype=np.int64),
-                    "start_s": start[seg].copy(),
-                    "end_s": end[seg].copy(),
-                    "size_bytes": size[seg].copy(),
-                    "bytes_sent": size[seg] - remaining[seg],
-                    "loss_events": loss_events[seg].copy(),
-                    "timeout_events": timeout_events[seg].copy(),
-                    "stall_time_s": stall_time[seg].copy(),
-                    "retries": retries[seg].copy(),
-                    "aborted": aborted[seg].copy(),
-                },
-                sample_columns=samples[e].columns(),
-                capacity_bytes_per_s=caps[e],
-                end_time_s=end_time[e],
-            )
-            validate_conservation(result)
-            return result
-
-        while live:
-            if t >= max_time_s:
-                for e in live:
-                    flush_final(
-                        e, int(np.count_nonzero(state[segments[e]] == _RUNNING))
-                    )
-                    results[e] = build_result(e)
-                break
-
-            # --- lifecycle transitions (whole batch at once) --------------
-            newly_started = (state == _PENDING) & (start <= t)
-            state[newly_started] = _RUNNING
-            rto_expired = (state == _TIMEOUT) & (rto_until <= t)
-            state[rto_expired] = _RUNNING
-
-            # Per-link effective capacity under the link fault schedules.
-            if has_faults:
-                if np.any(newly_started):
-                    last_progress[newly_started] = t
-                for e in live:
-                    for i, flagged in enumerate(lfx[e]):
-                        if flagged:
-                            lcapt[e][i] = lcap[e][i] * capacity_factor(
-                                lfaults[e][i], t
-                            )
-
-            active = state == _RUNNING
-            counts = np.add.reduceat(active, red_offs, dtype=np.int64).tolist()
-
-            if sum(counts) == 0 and not has_faults:
-                # --- adaptive time advance (every link drains at its own
-                # line rate through the dead time) -------------------------
-                cand = np.where(state == _PENDING, start, np.inf)
-                cand = np.where(state == _TIMEOUT, rto_until, cand)
-                t_next = float(cand.min())
-                if not np.isfinite(t_next):
-                    raise SimulationError(
-                        "batch deadlock: no active, pending or stalled "
-                        "flows remain in an unfinished experiment"
-                    )
-                while True:
-                    for e in live:
-                        for i in range(n_links[e]):
-                            if lqueue[e][i] > 0.0:
-                                lqueue[e][i] = max(
-                                    0.0, lqueue[e][i] - lcap[e][i] * dt
-                                )
-                    t += dt
-                    if t - bucket_start >= si - 1e-12:
-                        for e in live:
-                            samples[e].append(
-                                bucket_start, t - bucket_start, buckets[e],
-                                sum(lqueue[e]), 0,
-                            )
-                            buckets[e] = 0.0
-                        bucket_start = t
-                    if t >= max_time_s or t_next <= t:
-                        break
-                continue
-
-            # --- effective RTT: route base RTT + per-link queueing delays
-            for e in live:
-                qd = 0.0
-                for i in range(n_links[e]):
-                    qd += lqueue[e][i] / lcap[e][i]
-                qdelay[e] = qd
-                rtt_eff[e] = rtts[e] + qd
-
-            # --- demands and the cascaded per-link share ------------------
-            rtt_eff_flow = np.asarray(rtt_eff)[exp_idx]
-            demand = np.minimum(cwnd * mss_flow / rtt_eff_flow, remaining / dt)
-            demand *= active
-
-            any_overflow = False
-            for e in live:
-                if counts[e] == 0:
-                    for i in range(n_links[e]):
-                        lqueue[e][i] = max(
-                            0.0, lqueue[e][i] - lcapt[e][i] * dt
-                        )
-                        loverflow[e][i] = 0.0
-                    scale[e] = 1.0
-                    continue
-                total_demand = float(demand[segments[e]].sum())
-                # Arrivals cascade hop by hop: link i sees link i-1's
-                # departures, queues the excess over its (fault-scaled)
-                # capacity and drops what its buffer cannot hold.  The
-                # flows' shared rate scale is the surviving fraction.
-                arrival = total_demand
-                for i in range(n_links[e]):
-                    cap_t = lcapt[e][i]
-                    if arrival <= cap_t:
-                        lqueue[e][i] = max(
-                            0.0, lqueue[e][i] - (cap_t - arrival) * dt
-                        )
-                        loverflow[e][i] = 0.0
-                    else:
-                        q = lqueue[e][i] + (arrival - cap_t) * dt
-                        loverflow[e][i] = max(0.0, q - lbuf[e][i])
-                        lqueue[e][i] = min(q, lbuf[e][i])
-                        any_overflow = any_overflow or loverflow[e][i] > 0.0
-                        arrival = cap_t
-                scale[e] = (
-                    arrival / total_demand if total_demand > 0.0 else 1.0
-                )
-
-            sent = demand * np.asarray(scale)[exp_idx]
-            sent *= dt
-            np.minimum(sent, remaining, out=sent)
-            remaining -= sent
-            if has_faults:
-                last_progress[sent > 0.0] = t
-
-            sent_sums = np.add.reduceat(sent, red_offs).tolist()
-            for e in live:
-                buckets[e] += sent_sums[e]
-
-            # --- completions (whole batch) --------------------------------
-            finished = active & (remaining <= 1e-6)
-            any_finished = bool(finished.any())
-            if any_finished:
-                # Completion stamp: the last bytes drain through every
-                # queue along the route, plus half the route RTT for the
-                # final acknowledgement.
-                for e in live:
-                    drain = 0.0
-                    for i in range(n_links[e]):
-                        if lcapt[e][i] > 0.0:
-                            drain += lqueue[e][i] / lcapt[e][i]
-                        else:
-                            drain = math.inf
-                            break
-                    fin[e] = t + dt + drain + rtts[e] / 2.0
-                end[finished] = np.asarray(fin)[exp_idx][finished]
-                state[finished] = _DONE
-                active = state == _RUNNING
-
-            # --- droptail loss, per overflowing link in route order
-            # (each round consumes the experiment's own RNG stream) --------
-            for e in live if any_overflow else ():
-                seg = segments[e]
-                for i in range(n_links[e]):
-                    if loverflow[e][i] <= 0.0:
-                        continue
-                    a = state[seg] == _RUNNING
-                    if not a.any():
-                        break
-                    cfg = cfgs[e]
-                    m = n_flows[e]
-                    d = demand[seg]
-                    offered = float(d[a].sum()) * dt
-                    loss_frac = min(
-                        1.0, loverflow[e][i] / max(offered, 1.0)
-                    )
-                    p_loss = np.minimum(
-                        1.0, loss_frac * cfg.loss_aggressiveness
-                    )
-                    rec = recovery_until[seg]
-                    eligible = a & (rec <= t)
-                    hit = eligible & (rngs[e].random(m) < p_loss)
-                    if hit.any():
-                        cw = cwnd[seg]
-                        ss = ssthresh[seg]
-                        st = state[seg]
-                        rec[hit] = t + dt + rtt_eff[e]
-                        in_ca = cw >= ss
-                        burst = (
-                            hit
-                            & in_ca
-                            & (
-                                rngs[e].random(m)
-                                < cfg.timeout_on_loss_scale * loss_frac
-                            )
-                        )
-                        small = hit & (
-                            (cw < cfg.min_fast_retransmit_segments) | burst
-                        )
-                        fast = hit & ~small
-                        ss[fast] = np.maximum(cw[fast] / 2.0, 2.0)
-                        cw[fast] = ss[fast]
-                        loss_events[seg][fast] += 1
-                        if small.any():
-                            back = rto_backoff[seg]
-                            until = rto_until[seg]
-                            rto = np.minimum(
-                                cfg.rto_min_s * (2.0 ** back[small]),
-                                cfg.rto_max_s,
-                            )
-                            until[small] = t + dt + rto
-                            back[small] += 1
-                            ss[small] = np.maximum(cw[small] / 2.0, 2.0)
-                            cw[small] = 1.0
-                            st[small] = _TIMEOUT
-                            timeout_events[seg][small] += 1
-                            loss_events[seg][small] += 1
-                        rto_backoff[seg][a & ~hit] = 0
-
-            # --- exogenous path loss (deterministic fluid form) -----------
-            if has_loss:
-                loss_credit += sent * np.asarray(lrate)[exp_idx]
-                lossy = (
-                    (state == _RUNNING)
-                    & (loss_credit >= 1.0)
-                    & (recovery_until <= t)
-                )
-                if np.any(lossy):
-                    for e in live:
-                        rec_t[e] = t + dt + rtt_eff[e]
-                    recovery_until[lossy] = np.asarray(rec_t)[exp_idx][lossy]
-                    ssthresh[lossy] = np.maximum(cwnd[lossy] / 2.0, 2.0)
-                    cwnd[lossy] = ssthresh[lossy]
-                    loss_events[lossy] += 1
-                    loss_credit[lossy] -= np.floor(loss_credit[lossy])
-
-            # --- HyStart: delay-based slow-start exit ---------------------
-            for e in live:
-                if counts[e] > 0:
-                    cfg = cfgs[e]
-                    if qdelay[e] > cfg.hystart_delay_frac * rtts[e]:
-                        seg = segments[e]
-                        cw = cwnd[seg]
-                        ss = ssthresh[seg]
-                        ramping = (state[seg] == _RUNNING) & (cw < ss)
-                        ss[ramping] = np.maximum(cw[ramping], 2.0)
-
-            # --- congestion signals of the non-Reno controllers -----------
-            backoff = None
-            if has_dctcp:
-                for e in live:
-                    # The route marks when any hop's queue exceeds that
-                    # hop's own threshold (ECN marks survive to the
-                    # receiver regardless of which switch set them).
-                    marked[e] = (
-                        1.0
-                        if any(
-                            lqueue[e][i] > mark_bytes[e][i]
-                            for i in range(n_links[e])
-                        )
-                        else 0.0
-                    )
-                    again[e] = cfgs[e].dctcp_gain * (dt / rtt_eff[e])
-                    khalf[e] = 0.5 * (dt / rtt_eff[e])
-                upd = (state == _RUNNING) & is_dctcp
-                marked_flow = np.asarray(marked)[exp_idx]
-                dctcp_alpha[upd] += np.asarray(again)[exp_idx][upd] * (
-                    marked_flow[upd] - dctcp_alpha[upd]
-                )
-                shr = upd & (marked_flow == 1.0)
-                if shr.any():
-                    cw_new = np.maximum(
-                        cwnd[shr]
-                        * (1.0 - dctcp_alpha[shr] * np.asarray(khalf)[exp_idx][shr]),
-                        2.0,
-                    )
-                    ssthresh[shr] = np.minimum(ssthresh[shr], cw_new)
-                    cwnd[shr] = cw_new
-                    backoff = shr
-            if has_delay:
-                upd = (state == _RUNNING) & is_delay
-                fresh = upd & (rtt_smooth == 0.0)
-                rtt_smooth[fresh] = rtt_eff_flow[fresh]
-                rtt_smooth[upd] += np.asarray(dsmooth)[exp_idx][upd] * (
-                    rtt_eff_flow[upd] - rtt_smooth[upd]
-                )
-                over = upd & (rtt_smooth > np.asarray(dthr)[exp_idx])
-                if over.any():
-                    for e in live:
-                        dshr[e] = 1.0 - cfgs[e].delay_backoff * (dt / rtt_eff[e])
-                    cw_new = np.maximum(
-                        cwnd[over] * np.asarray(dshr)[exp_idx][over], 2.0
-                    )
-                    ssthresh[over] = np.minimum(ssthresh[over], cw_new)
-                    cwnd[over] = cw_new
-                    backoff = over if backoff is None else backoff | over
-
-            # --- window growth (whole batch) ------------------------------
-            growing = state == _RUNNING
-            if backoff is not None:
-                growing &= ~backoff
-            grow_counts = np.add.reduceat(
-                growing, red_offs, dtype=np.int64
-            ).tolist()
-            for e in live:
-                if grow_counts[e] > 0:
-                    factor[e] = 2.0 ** (dt / rtt_eff[e])
-                    incr[e] = dt / rtt_eff[e]
-                    clamp[e] = True
-                else:
-                    clamp[e] = False
-            in_ss = cwnd < ssthresh
-            ss_mask = growing & in_ss
-            ca_mask = growing & ~in_ss
-            np.copyto(
-                cwnd, np.minimum(cwnd * np.asarray(factor)[exp_idx], ssthresh),
-                where=ss_mask,
-            )
-            if has_delay:
-                incr_flow = np.asarray(incr)[exp_idx]
-                ca_delay = ca_mask & is_delay
-                ca_other = ca_mask & ~is_delay
-                np.copyto(cwnd, cwnd + incr_flow, where=ca_other)
-                np.copyto(
-                    cwnd,
-                    cwnd + np.asarray(dgain)[exp_idx] * cwnd * incr_flow,
-                    where=ca_delay,
-                )
-            else:
-                np.copyto(cwnd, cwnd + np.asarray(incr)[exp_idx], where=ca_mask)
-            np.copyto(
-                cwnd, np.minimum(cwnd, rwnd_flow),
-                where=np.asarray(clamp)[exp_idx],
-            )
-
-            # --- application-layer stall detection / retry / abort --------
-            abort_now = None
-            if has_faults:
-                stalled = (
-                    fault_flow
-                    & ((state == _RUNNING) | (state == _TIMEOUT))
-                    & (t - last_progress >= np.asarray(stall_s)[exp_idx])
-                )
-                if np.any(stalled):
-                    stall_time[stalled] += t - last_progress[stalled]
-                    exhausted = stalled & (
-                        retries >= np.asarray(rmax)[exp_idx]
-                    )
-                    retry = stalled & ~exhausted
-                    if np.any(exhausted):
-                        state[exhausted] = _DONE
-                        aborted[exhausted] = True
-                        abort_now = exhausted
-                    if np.any(retry):
-                        retries[retry] += 1
-                        backoff = np.minimum(
-                            np.asarray(rback)[exp_idx][retry]
-                            * (2.0 ** (retries[retry] - 1.0)),
-                            np.asarray(rbmax)[exp_idx][retry],
-                        )
-                        rto_until[retry] = t + dt + backoff
-                        state[retry] = _TIMEOUT
-                        cwnd[retry] = np.asarray(icw)[exp_idx][retry]
-                        ssthresh[retry] = np.asarray(issth)[exp_idx][retry]
-                        rto_backoff[retry] = 0
-                        recovery_until[retry] = 0.0
-                        dctcp_alpha[retry] = 0.0
-                        rtt_smooth[retry] = 0.0
-                        loss_credit[retry] = 0.0
-                        last_progress[retry] = rto_until[retry]
-
-            t += dt
-
-            # --- utilisation sampling (shared bucket boundaries) ----------
-            if t - bucket_start >= si - 1e-12:
-                interval = t - bucket_start
-                for e in live:
-                    samples[e].append(
-                        bucket_start, interval, buckets[e],
-                        sum(lqueue[e]), counts[e],
-                    )
-                    buckets[e] = 0.0
-                bucket_start = t
-
-            # --- retire experiments whose flows all completed (masked
-            # in place; the fixed layout keeps segments valid) -------------
-            if any_finished or abort_now is not None:
-                completed = (
-                    finished if abort_now is None else finished | abort_now
-                )
-                fin_counts = np.add.reduceat(
-                    completed, red_offs, dtype=np.int64
-                ).tolist()
-                still_live = []
-                for e in live:
-                    done_count[e] += fin_counts[e]
-                    if done_count[e] == n_flows[e]:
-                        flush_final(e, 0)
-                        results[e] = build_result(e)
-                    else:
-                        still_live.append(e)
-                if len(still_live) != len(live):
-                    live = still_live
                     has_faults = any(exp_faulted[e] for e in live)
 
         assert all(r is not None for r in results)

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple, Union
 
 from ..errors import ValidationError
+
+if TYPE_CHECKING:
+    from .link import Link
 
 __all__ = [
     "FaultEvent",
@@ -159,6 +162,61 @@ def coerce_link_faults(
             "link(s); provide exactly one (possibly empty) schedule per link"
         )
     return tuple(coerce_faults(entry) for entry in entries)
+
+
+def resolve_route(
+    link: Optional[Link],
+    links: Optional[Iterable[Link]],
+    faults: Union[None, FaultEvent, Iterable[FaultEvent]],
+    link_faults: Union[
+        None, Sequence[Union[None, FaultEvent, Iterable[FaultEvent]]]
+    ],
+    dt_s: Optional[float],
+) -> Tuple[Tuple[Link, ...], Tuple[FaultSchedule, ...], Link, float]:
+    """Normalise the two ways both engines accept a path into one route.
+
+    ``link`` + ``faults`` names a single bottleneck and its schedule;
+    ``links`` + ``link_faults`` names an ordered route and one schedule
+    per link.  Exactly one form must be given.  Returns ``(links,
+    link_faults, bottleneck, dt)``: the route (one link for the first
+    form), one validated schedule per link, the smallest-capacity link
+    (what reports normalise against) and the simulation step — ``dt_s``
+    or a quarter of the route's base RTT, never more than that RTT
+    because the fluid model is RTT-quantised.
+    """
+    if (link is None) == (links is None):
+        raise ValidationError(
+            "pass exactly one of link= (single bottleneck) or "
+            "links= (routed multi-hop)"
+        )
+    if links is not None:
+        route = tuple(links)
+        if not route:
+            raise ValidationError("links must name >= 1 link")
+        if faults is not None:
+            raise ValidationError(
+                "a routed run takes per-link schedules via link_faults=, "
+                "not a single faults= schedule"
+            )
+        per_link = coerce_link_faults(link_faults, len(route))
+    else:
+        if link_faults is not None:
+            raise ValidationError(
+                "link_faults= needs links=; a single-link run takes its "
+                "schedule via faults="
+            )
+        route, per_link = (link,), (coerce_faults(faults),)
+    bottleneck = min(route, key=lambda l: l.capacity_gbps)
+    route_rtt = sum(l.rtt_s for l in route)
+    dt = float(dt_s) if dt_s is not None else route_rtt / 4.0
+    if dt <= 0:
+        raise ValidationError(f"dt_s must be > 0, got {dt!r}")
+    if dt > route_rtt:
+        raise ValidationError(
+            f"dt_s ({dt}) must not exceed the base RTT ({route_rtt}); "
+            "the fluid model is RTT-quantised"
+        )
+    return route, per_link, bottleneck, dt
 
 
 def schedule_is_noop(faults: Sequence[FaultEvent]) -> bool:

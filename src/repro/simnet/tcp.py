@@ -45,8 +45,7 @@ from .cc import CcKind, coerce_cc
 from .faults import (
     FaultEvent,
     capacity_factor,
-    coerce_faults,
-    coerce_link_faults,
+    resolve_route,
     schedule_is_noop,
 )
 from .link import Link
@@ -243,57 +242,20 @@ class FluidTcpSimulator:
             Iterable[Union[None, FaultEvent, Iterable[FaultEvent]]]
         ] = None,
     ) -> None:
-        if (link is None) == (links is None):
-            raise ValidationError(
-                "pass exactly one of link= (single bottleneck) or "
-                "links= (routed multi-hop)"
-            )
-        if links is not None:
-            # Routed multi-hop form: the ordered links of the route (e.g.
-            # Topology.route(...).links) and one fault schedule per link.
-            # A one-hop route is the classic single-link simulation; a
-            # longer route delegates to the batched multi-link engine
-            # (one-experiment batch) at run() time.
-            route = tuple(links)
-            if not route:
-                raise ValidationError("links must name >= 1 link")
-            if faults is not None:
-                raise ValidationError(
-                    "a routed simulation takes per-link schedules via "
-                    "link_faults=, not a single faults= schedule"
-                )
-            per_link = coerce_link_faults(link_faults, len(route))
-            if len(route) == 1:
-                link, faults = route[0], per_link[0]
-                self._links, self._link_faults = None, ()
-            else:
-                self._links, self._link_faults = route, per_link
-                link = min(route, key=lambda l: l.capacity_gbps)
-        else:
-            if link_faults is not None:
-                raise ValidationError(
-                    "link_faults= needs links=; a single-link simulation "
-                    "takes its schedule via faults="
-                )
-            self._links, self._link_faults = None, ()
-        assert link is not None
-        #: The (bottleneck) link reporting normalises against.
-        self.link = link
-        route_rtt = (
-            sum(l.rtt_s for l in self._links)
-            if self._links is not None
-            else link.rtt_s
+        # ``self.link`` is the (bottleneck) link reporting normalises
+        # against.  A one-hop route is the classic single-link
+        # simulation; a longer route delegates to the batched engine
+        # (one-experiment batch) at run() time.
+        route, per_link, self.link, self.dt_s = resolve_route(
+            link, links, faults, link_faults, dt_s
         )
+        if len(route) == 1:
+            self._links, self._link_faults = None, ()
+            self.faults = per_link[0]
+        else:
+            self._links, self._link_faults = route, per_link
+            self.faults = ()
         self.config = config or TcpConfig()
-        self.faults = coerce_faults(faults)
-        self.dt_s = float(dt_s) if dt_s is not None else route_rtt / 4.0
-        if self.dt_s <= 0:
-            raise ValidationError(f"dt_s must be > 0, got {self.dt_s!r}")
-        if self.dt_s > route_rtt:
-            raise ValidationError(
-                f"dt_s ({self.dt_s}) must not exceed the base RTT "
-                f"({route_rtt}); the fluid model is RTT-quantised"
-            )
         ensure_positive(sample_interval_s, "sample_interval_s")
         self.sample_interval_s = float(sample_interval_s)
         self._rng = np.random.default_rng(seed)
@@ -725,7 +687,7 @@ class FluidTcpSimulator:
         """Routed multi-hop run: delegate to a one-experiment batch.
 
         There is exactly one multi-link update loop in the codebase
-        (:meth:`BatchFluidSimulator._run_batch_multilink`), so the
+        (:meth:`BatchFluidSimulator._simulate`), so the
         sequential and batched engines agree on routed dynamics by
         construction.  The batch experiment borrows this simulator's
         generator, preserving the sequential engine's RNG semantics

@@ -23,8 +23,10 @@ from repro.iperfsim.runner import (
 )
 from repro.iperfsim.spec import ExperimentSpec, SpawnStrategy
 from repro.simnet.batch import BatchFluidSimulator
+from repro.simnet.faults import brownout_schedule
 from repro.simnet.link import Link, fabric_link
 from repro.simnet.tcp import FluidTcpSimulator, TcpConfig
+from repro.simnet.topology import cross_facility_testbed
 
 
 def assert_results_bit_identical(a, b, label=""):
@@ -301,26 +303,65 @@ class TestExperimentIsolation:
         seed_a=st.integers(0, 50),
         seed_b=st.integers(0, 50),
         n_extra=st.integers(1, 3),
-        extra_size=st.floats(1e6, 1e9),
-        extra_start=st.floats(0.0, 3.0),
+        retires_first=st.booleans(),
+        size_frac=st.floats(0.0, 1.0),
+        start_frac=st.floats(0.0, 1.0),
+        routed=st.booleans(),
+        outage=st.booleans(),
+        joins_first=st.booleans(),
     )
     def test_adding_experiments_never_changes_another(
-        self, seed_a, seed_b, n_extra, extra_size, extra_start
+        self, seed_a, seed_b, n_extra, retires_first, size_frac, start_frac,
+        routed, outage, joins_first,
     ):
         """Block-diagonal sharing: an unrelated experiment joining the
-        batch must not perturb another experiment's outputs at all."""
+        batch must not perturb another experiment's outputs at all —
+        whether it is a single link or a 3-hop route (optionally with a
+        WAN outage), whether it registers before or after the other
+        experiment, and whether it retires (and is compacted out of the
+        stacked arrays) before or after it."""
+        dt_s = 0.004  # fabric RTT / 4; also valid for the 18.5 ms route
         flows_a = [(0.0, 0.3e9, 0), (0.5, 0.3e9, 1), (1.0, 0.2e9, 2)]
-        (alone,) = batched_run([(fabric_link(), None, seed_a, flows_a)])
-        extra_flows = [
-            (extra_start + 0.1 * k, extra_size, k) for k in range(n_extra)
-        ]
-        together = batched_run(
-            [
-                (fabric_link(), None, seed_a, flows_a),
-                (fabric_link(), None, seed_b, extra_flows),
-            ]
-        )
-        assert_results_bit_identical(alone, together[0], label="isolation")
+
+        def add_a(bat):
+            ea = bat.add_experiment(fabric_link(), seed=seed_a)
+            for f in flows_a:
+                bat.add_flow(ea, *f)
+            return ea
+
+        def add_extra(bat):
+            # A alone ends at ~1.2 s; the outage opens after the
+            # early-retiring extras are done.
+            sched = brownout_schedule(1.0, 0.0, start_s=0.8) if outage else ()
+            if routed:
+                eb = bat.add_experiment(
+                    links=cross_facility_testbed().route("edge", "hpc").links,
+                    link_faults=[(), sched, ()],
+                    seed=seed_b,
+                )
+            else:
+                eb = bat.add_experiment(fabric_link(), seed=seed_b, faults=sched)
+            if retires_first:
+                size, start = 1e5 + size_frac * (1e7 - 1e5), 0.2 * start_frac
+            else:
+                size, start = 1e9 * (1.0 + size_frac), 1.0 + 0.5 * start_frac
+            for k in range(n_extra):
+                bat.add_flow(eb, start + 0.1 * k, size, k)
+            return eb
+
+        solo = BatchFluidSimulator(dt_s=dt_s)
+        add_a(solo)
+        (alone,) = solo.run()
+        bat = BatchFluidSimulator(dt_s=dt_s)
+        if joins_first:
+            eb = add_extra(bat)
+            ea = add_a(bat)
+        else:
+            ea = add_a(bat)
+            eb = add_extra(bat)
+        together = bat.run()
+        assert (together[eb].end_time_s < alone.end_time_s) == retires_first
+        assert_results_bit_identical(alone, together[ea], label="isolation")
 
     def test_batch_order_does_not_matter(self):
         cases = mixed_cases()
